@@ -71,9 +71,6 @@ class Tensor:
             raise ShapeError(f"item: tensor has {self.values.size} elements")
         return float(self.values.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.values)
 
@@ -86,34 +83,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, op={self._op}, grad={self.requires_grad})"
-
-    # Operator sugar; everything routes through the kernel functions below.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(values: ArrayLike) -> Tensor:

@@ -25,7 +25,7 @@ from .episodes import (BundleCache, Manifest, ManifestError, Record,
                        class_binary_mask, export_dataset,
                        generate_synthetic_dataset, load_manifest)
 from .metrics import write_report
-from .model import ModelConfig, count_model_params
+from .model import ModelConfig, count_model_params, init_model
 from .params import CheckpointError, ParamStore, load_checkpoint
 from .pseudomask import attention_scores, enhance, raw_pseudomask, write_pgm
 from .svgplot import history_chart, mask_panel, write_svg
@@ -190,6 +190,22 @@ def _load_checkpoint(path: str) -> ParamStore:
         raise CliError("CHECKPOINT_INVALID", str(exc))
 
 
+def _check_model_shapes(store: ParamStore, cfg: TrainConfig) -> None:
+    """Reject a checkpoint whose model parameters (enhancer aside) differ in
+    name or shape from the ones the resolved configuration builds."""
+    expected = ParamStore()
+    init_model(expected, cfg.model, cfg.seed)
+    loaded = {name for name in store.entries if not name.startswith("enhancer.")}
+    differ = sorted(loaded ^ set(expected.entries))
+    if differ:
+        raise CliError("CHECKPOINT_INVALID", "parameters in only one of "
+                       f"checkpoint and configuration: {', '.join(differ)}")
+    for name, tensor in expected.entries.items():
+        if store[name].shape != tensor.shape:
+            raise CliError("CHECKPOINT_INVALID",
+                           f"{name}: {store[name].shape} vs {tensor.shape}")
+
+
 def _apply_flag_overrides(config: Dict, args: argparse.Namespace) -> None:
     for flag, key in (("seed", "seed"), ("supervision", "supervision"),
                       ("pixel_fraction", "pixel_fraction")):
@@ -240,6 +256,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = build_configs(config)
     manifest = _load_manifest(args.manifest, config["num_class_ids"])
     store = _load_checkpoint(args.ckpt)
+    _check_model_shapes(store, cfg)
     cache = BundleCache(cfg.backbone, root=Path(args.manifest).parent)
     try:
         report = evaluate(store, cfg, manifest, way=args.way, shot=args.shot,

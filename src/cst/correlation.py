@@ -46,24 +46,15 @@ def correlate(query: TokenBundle, support: TokenBundle,
         raise ValueError("correlate: bundle layer/head extents differ")
     l, m, c, tq = query.image_tokens.shape
     ts = support.tokens
-
-    if use_multihead:
-        fq = _unit_columns(query.image_tokens)              # (L, M, C, Tq)
-        fs = _unit_columns(support.image_tokens)
-        hs = _unit_columns(support.class_tokens[..., None])  # (L, M, C, 1)
-        cls = np.einsum("lmct,lmcu->tlm", fq, hs)            # (Tq, L, M)
-        img = np.einsum("lmct,lmcs->tslm", fq, fs)           # (Tq, Ts, L, M)
-        cls_corr = cls.reshape(tq, l * m)
-        img_corr = img.reshape(tq, ts, l * m)
-    else:
-        fq = _unit_columns(query.image_tokens.transpose(0, 1, 2, 3)
-                           .reshape(l, m * c, tq))
-        fs = _unit_columns(support.image_tokens.reshape(l, m * c, ts))
-        hs = _unit_columns(support.class_tokens.reshape(l, m * c)[..., None])
-        cls_corr = np.einsum("lct,lcu->tl", fq, hs)
-        img_corr = np.einsum("lct,lcs->tsl", fq, fs)
-
-    return CorrelationVolume(cls_corr=cls_corr, img_corr=img_corr,
+    if not use_multihead:   # one head whose width is all M*C features
+        m, c = 1, m * c
+    fq = _unit_columns(query.image_tokens.reshape(l, m, c, tq))
+    fs = _unit_columns(support.image_tokens.reshape(l, m, c, ts))
+    hs = _unit_columns(support.class_tokens.reshape(l, m, c, 1))
+    fq_rows = fq.swapaxes(-1, -2)                     # (L, M, Tq, C)
+    cls = np.matmul(fq_rows, hs).reshape(l * m, tq)   # (L*M, Tq)
+    img = np.matmul(fq_rows, fs).reshape(l * m, tq, ts)
+    return CorrelationVolume(cls_corr=cls.T, img_corr=img.transpose(1, 2, 0),
                              query_grid=query.grid, support_grid=support.grid)
 
 

@@ -32,8 +32,8 @@ def init_model(store: ParamStore, cfg: ModelConfig, seed: int) -> None:
 
 def prepare_volume(query: TokenBundle, support: TokenBundle,
                    cfg: ModelConfig) -> CorrelationVolume:
-    """Resize the support grid to the transformer's and correlate. Cacheable:
-    depends only on the two bundles."""
+    """Resize the support grid to the transformer's and correlate; cheap
+    enough to build for every forward, so callers do not cache it."""
     support = resize_support_grid(support, cfg.corr.support_grid)
     volume = correlate(query, support, use_multihead=cfg.use_multihead)
     if volume.channels != cfg.corr.in_channels:
@@ -62,13 +62,6 @@ def forward_volume(store: ParamStore, cfg: ModelConfig,
     if collect:
         return pair, result[2]
     return pair
-
-
-def forward_pair(store: ParamStore, cfg: ModelConfig, query: TokenBundle,
-                 support: TokenBundle, support_mask: Optional[np.ndarray],
-                 out_hw: Optional[Tuple[int, int]] = None) -> PredictionPair:
-    return forward_volume(store, cfg, prepare_volume(query, support, cfg),
-                          support_mask, out_hw)
 
 
 def count_model_params(store: ParamStore) -> dict:

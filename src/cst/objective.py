@@ -42,7 +42,7 @@ class LossReport:
                 "loss_total": self.loss_total.item()}
 
 
-def _binary_ce(prob: ad.Tensor, target: np.ndarray) -> ad.Tensor:
+def binary_ce(prob: ad.Tensor, target: np.ndarray) -> ad.Tensor:
     """Mean two-way cross-entropy between probabilities and 0/1 targets."""
     t = ad.constant(target)
     pos = ad.mul(t, ad.log(ad.add_scalar(prob, LOG_FLOOR)))
@@ -59,8 +59,8 @@ def compute_loss(pred: PredictionPair, y_clf: int, y_seg: np.ndarray,
         raise ad.ShapeError(
             f"compute_loss: target {y_seg.shape} vs prediction "
             f"{pred.seg_prob.values.shape}")
-    loss_clf = _binary_ce(pred.clf_prob, np.array([float(y_clf)]))
-    loss_seg = _binary_ce(pred.seg_prob, y_seg.astype(np.float64))
+    loss_clf = binary_ce(pred.clf_prob, np.array([float(y_clf)]))
+    loss_seg = binary_ce(pred.seg_prob, y_seg.astype(np.float64))
     total = ad.add(ad.scale(loss_clf, lam), loss_seg)
     return LossReport(loss_clf=loss_clf, loss_seg=loss_seg, loss_total=total)
 

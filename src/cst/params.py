@@ -54,10 +54,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self.entries.keys())
 
-    def zero_grads(self) -> None:
-        for t in self.entries.values():
-            t.zero_grad()
-
     def count(self, prefix: str = "") -> int:
         return sum(t.size for name, t in self.entries.items() if name.startswith(prefix))
 

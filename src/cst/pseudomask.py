@@ -23,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import bilinear_resize_array
 from .backbone import TokenBundle
+from .objective import binary_ce
 from .params import ParamStore, init_conv
 
 ALPHA = -0.1
@@ -149,12 +150,7 @@ def train_enhancer(store: ParamStore, pairs: Sequence[tuple], lr: float,
         for stack, gt in members:
             probs = _enhancer_forward(store, stack)
             probs = ad.bilinear_resize(probs, gt.shape)
-            target = ad.constant(gt.astype(np.float64))
-            pos = ad.mul(target, ad.log(ad.add_scalar(probs, 1e-12)))
-            inv = ad.add_scalar(ad.scale(probs, -1.0), 1.0)
-            neg = ad.mul(ad.add_scalar(ad.scale(target, -1.0), 1.0),
-                         ad.log(ad.add_scalar(inv, 1e-12)))
-            terms.append(ad.scale(ad.mean(ad.add(pos, neg)), -1.0))
+            terms.append(binary_ce(probs, gt.astype(np.float64)))
         loss = ad.mean(ad.concat([ad.reshape(t, (1,)) for t in terms], 0))
         ad.backward(loss)
         store.adam_step(lr, names=names)

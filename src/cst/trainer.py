@@ -15,17 +15,17 @@ the best-scoring parameters are the ones a run returns.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AutodiffError
 from .backbone import BackboneConfig, TokenBundle
-from .correlation import CorrelationVolume
 from .episodes import (BundleCache, Episode, Manifest, Record,
                        assign_mixed_labels, class_binary_mask, sample_episode)
 from .metrics import MetricAccumulator
@@ -38,7 +38,6 @@ from .pseudomask import (ALPHA, AttentionStack, attention_scores,
 from .seeding import rng_for
 
 REGIMES = ("image", "mixed", "pixel")
-VOLUME_CACHE_CAP = 64
 
 
 class TrainerError(RuntimeError):
@@ -72,30 +71,17 @@ class TrainConfig:
         for name in ("steps", "batch_episodes", "val_interval", "val_episodes"):
             if getattr(self, name) < 1:
                 raise TrainerError(f"{name} must be positive")
+        for name in ("lr", "enhancer_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise TrainerError(f"{name} must be finite and positive, "
+                                   f"got {value}")
 
 
 @dataclass
 class Counters:
     gt_mask_model_reads: int = 0
     pseudo_masks_generated: int = 0
-
-
-class _FifoCache:
-    """Bounded memo for correlation volumes; eviction order is insertion."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self._entries: Dict[tuple, CorrelationVolume] = {}
-
-    def get(self, key: tuple, make: Callable[[], CorrelationVolume]):
-        hit = self._entries.get(key)
-        if hit is not None:
-            return hit
-        value = make()
-        if len(self._entries) >= self.cap:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = value
-        return value
 
 
 class SupervisionResolver:
@@ -193,15 +179,12 @@ def _pretrain_enhancer(store: ParamStore, cfg: TrainConfig,
 
 
 def _train_episode(store: ParamStore, cfg: TrainConfig,
-                   resolver: SupervisionResolver, volumes: _FifoCache,
-                   ep: Episode) -> LossReport:
+                   resolver: SupervisionResolver, ep: Episode) -> LossReport:
     class_id = ep.classes[0]
     support = ep.supports[0][0]
     query_bundle = resolver.bundle(ep.query)
     support_bundle = resolver.bundle(support)
-    volume = volumes.get((ep.query.name, support.name),
-                         lambda: prepare_volume(query_bundle, support_bundle,
-                                                cfg.model))
+    volume = prepare_volume(query_bundle, support_bundle, cfg.model)
     grid_mask = downsample_mask(resolver.support_mask(support, class_id),
                                 cfg.model.corr.support_grid)
     y_clf, y_seg = resolver.query_target(ep.query, class_id, support_bundle)
@@ -212,41 +195,37 @@ def _train_episode(store: ParamStore, cfg: TrainConfig,
 
 def run_episodes(store: ParamStore, cfg: TrainConfig,
                  episodes: Sequence[Episode], resolver: SupervisionResolver,
-                 class_ids: Sequence[int], volumes: Optional[_FifoCache] = None,
-                 workers: int = 1) -> dict:
+                 class_ids: Sequence[int], workers: int = 1) -> dict:
     """Forward a batch of episodes and aggregate metrics.
 
-    Masks and bundles are resolved serially up front; the per-episode
-    forwards are pure reads of the store, so they may fan out over threads.
-    Accumulators merge in episode order either way.
+    Bundles and masks are resolved serially up front, so every bundle-cache
+    fill, pseudo-mask and counter update happens on the calling thread. The
+    per-episode forwards then only read the store and the prepared inputs,
+    so they may fan out over threads. Accumulators merge in episode order
+    either way.
     """
-    volumes = volumes if volumes is not None else _FifoCache(VOLUME_CACHE_CAP)
     grid = cfg.model.corr.support_grid
     prepared = []
     for ep in episodes:
-        masks = [[downsample_mask(resolver.support_mask(rec, ep.classes[n]), grid)
-                  for rec in ep.supports[n]] for n in range(ep.way)]
-        resolver.bundle(ep.query)
-        prepared.append((ep, masks))
+        supports = [[(resolver.bundle(rec),
+                      downsample_mask(resolver.support_mask(rec, ep.classes[n]),
+                                      grid))
+                     for rec in ep.supports[n]] for n in range(ep.way)]
+        prepared.append((ep, resolver.bundle(ep.query), supports))
 
     def one(item) -> MetricAccumulator:
-        ep, masks = item
-        query_bundle = resolver.bundle(ep.query)
+        ep, query_bundle, supports = item
         out_hw = ep.query.grid().shape
         pairs = []
-        for n in range(ep.way):
-            shots = []
-            for k in range(ep.shot):
-                support = ep.supports[n][k]
-                volume = volumes.get(
-                    (ep.query.name, support.name),
-                    lambda s=support: prepare_volume(
-                        query_bundle, resolver.bundle(s), cfg.model))
-                pred = forward_volume(store, cfg.model, volume, masks[n][k],
+        for shots in supports:
+            responses = []
+            for bundle, mask in shots:
+                volume = prepare_volume(query_bundle, bundle, cfg.model)
+                pred = forward_volume(store, cfg.model, volume, mask,
                                       out_hw=out_hw)
-                shots.append((float(pred.clf_prob.values[0]),
-                              pred.seg_prob.values.copy()))
-            pairs.append(shots)
+                responses.append((float(pred.clf_prob.values[0]),
+                                  pred.seg_prob.values.copy()))
+            pairs.append(responses)
         acc = MetricAccumulator(class_ids)
         acc.update(predict_episode(pairs, cfg.delta), ep)
         return acc
@@ -293,7 +272,6 @@ def train(cfg: TrainConfig, manifest: Manifest,
         pool = [sample_episode(manifest, 1, 1, rng_episodes)
                 for _ in range(cfg.episode_pool)]
 
-    volumes = _FifoCache(VOLUME_CACHE_CAP)
     history: List[dict] = []
     best_miou, best_step = -1.0, 0
     best_values = store.clone_values()
@@ -307,7 +285,7 @@ def train(cfg: TrainConfig, manifest: Manifest,
                 ep = sample_episode(manifest, 1, 1, rng_episodes)
             drawn += 1
             try:
-                report = _train_episode(store, cfg, resolver, volumes, ep)
+                report = _train_episode(store, cfg, resolver, ep)
                 floats = report.floats()
                 ad.backward(ad.scale(report.loss_total,
                                      1.0 / cfg.batch_episodes))
@@ -323,8 +301,7 @@ def train(cfg: TrainConfig, manifest: Manifest,
             rng_val = rng_for(cfg.seed, "val")
             val_eps = [sample_episode(manifest, 1, 1, rng_val)
                        for _ in range(cfg.val_episodes)]
-            val = run_episodes(store, cfg, val_eps, resolver, manifest.classes,
-                               volumes=volumes)
+            val = run_episodes(store, cfg, val_eps, resolver, manifest.classes)
             if val["miou"] > best_miou:
                 best_miou = val["miou"]
                 best_step = step + 1
@@ -360,7 +337,11 @@ def evaluate(store: ParamStore, cfg: TrainConfig, manifest: Manifest,
     resolver = SupervisionResolver(store, cfg, cache, frozenset(), False,
                                    counters)
     rng = rng_for(seed, "eval")
-    eps = [sample_episode(manifest, way, shot, rng) for _ in range(episodes)]
+    try:
+        eps = [sample_episode(manifest, way, shot, rng)
+               for _ in range(episodes)]
+    except ValueError as exc:
+        raise TrainerError(str(exc)) from exc
     report = run_episodes(store, cfg, eps, resolver, manifest.classes,
                           workers=workers)
     report["way"] = way

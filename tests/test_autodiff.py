@@ -218,7 +218,7 @@ def test_backward_rejects_nonscalar_loss():
 
 def test_backward_rejects_consumed_graph():
     x = ad.Tensor([1.0], requires_grad=True)
-    loss = ad.sum_(x * 2.0)
+    loss = ad.sum_(ad.scale(x, 2.0))
     ad.backward(loss)
     with pytest.raises(ad.GraphConsumedError):
         ad.backward(loss)
@@ -228,7 +228,7 @@ def test_unreached_parameter_grad_stays_zero():
     x = ad.Tensor([1.0], requires_grad=True)
     y = ad.Tensor([4.0], requires_grad=True)
     y.zero_grad()
-    ad.backward(ad.sum_(x * 3.0))
+    ad.backward(ad.sum_(ad.scale(x, 3.0)))
     assert np.all(y.grad == 0.0)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from cst.cli import (CliError, build_configs, format_config, main,
                      resolve_config)
+from cst.model import init_model
+from cst.params import ParamStore, save_checkpoint
 from cst.svgplot import history_chart, line_chart, mask_panel
 
 SMALL = ["--set", "channels=16", "--set", "head_width=16",
@@ -134,6 +136,13 @@ def test_plot_command(dataset, tmp_path, capsys):
 
 
 def test_error_exit_codes(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "small.ckpt"
+    store = ParamStore()
+    init_model(store, build_configs(resolve_config(None, SMALL[1::2])).model, 0)
+    save_checkpoint(store, ckpt)
+    two_class = tmp_path / "two"
+    assert main(["gen-data", "--out", str(two_class), "--images", "8",
+                 "--classes", "4,5", "--num-class-ids", "6"]) == 0
     cases = [
         (["eval", "--manifest", str(dataset), "--ckpt",
           str(tmp_path / "no.ckpt"), *SMALL], "CHECKPOINT_NOT_FOUND"),
@@ -145,11 +154,19 @@ def test_error_exit_codes(dataset, tmp_path, capsys):
           str(tmp_path / "z.svg")], "HISTORY_NOT_FOUND"),
         (["train", "--manifest", str(dataset), "--out", str(tmp_path / "w"),
           "--config", str(tmp_path / "no.cfg")], "CONFIG_NOT_FOUND"),
+        (["train", "--manifest", str(dataset), "--out", str(tmp_path / "v"),
+          *SMALL, "--set", "lr=nan"], "CONFIG_VALUE_INVALID"),
+        (["eval", "--manifest", str(two_class / "manifest.json"), "--ckpt",
+          str(ckpt), "--way", "3", *SMALL], "EVAL_FAILED"),
+        (["eval", "--manifest", str(dataset), "--ckpt", str(ckpt), *SMALL,
+          "--set", "channels=32"], "CHECKPOINT_INVALID"),
     ]
     for argv, code in cases:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"cst: error: {code}:"), (code, err)
+        assert err.count("\n") == 1, (code, err)
+    assert not (tmp_path / "v").exists()
 
 
 def test_line_chart_is_deterministic():

@@ -1,6 +1,7 @@
 """Training driver: regimes, hygiene counters, determinism, evaluation."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -35,6 +36,10 @@ def test_config_validation():
         _cfg(pixel_fraction=1.5).validate()
     with pytest.raises(TrainerError):
         _cfg(steps=0).validate()
+    with pytest.raises(TrainerError):
+        _cfg(lr=float("nan")).validate()
+    with pytest.raises(TrainerError):
+        _cfg(enhancer_lr=0.0).validate()
 
 
 def test_pixel_run_shape_of_history():
@@ -116,6 +121,30 @@ def test_evaluate_report_and_workers():
     assert serial["episodes"] == 6
     assert serial["way"] == 2
     assert 0.0 <= serial["miou"] <= 1.0
+
+
+class _ThreadRecordingCache(BundleCache):
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.threads = set()
+
+    def get(self, record):
+        self.threads.add(threading.get_ident())
+        return super().get(record)
+
+
+def test_evaluate_threads_only_read():
+    # Pixel support masks never touch bundles, so any support bundle not
+    # resolved up front would first be fetched inside a worker thread.
+    cfg = _cfg()
+    res = train(cfg, MANIFEST, cache=CACHE)
+    cache = _ThreadRecordingCache(BB)
+    threaded = evaluate(res.store, cfg, MANIFEST, way=2, shot=1, episodes=6,
+                        seed=9, cache=cache, workers=2)
+    assert cache.threads == {threading.get_ident()}
+    serial = evaluate(res.store, cfg, MANIFEST, way=2, shot=1, episodes=6,
+                      seed=9, cache=CACHE)
+    assert threaded == serial
 
 
 def test_evaluate_mixed_needs_enhancer():
