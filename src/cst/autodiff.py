@@ -6,9 +6,10 @@ closure on the output node. backward() topologically sorts the recorded graph
 once and accumulates gradients into the .grad buffers of the leaves.
 
 The kernel set is exactly what the model pipeline needs (elementwise
-arithmetic, matmul with numpy batching, softmax, relu, sigmoid, log,
-group/grid normalization and pooling, 1x1 and 3x3 convolutions, bilinear
-resampling); there is no general broadcasting machinery beyond it.
+arithmetic, matmul with numpy batching, one row gather along an axis,
+softmax, relu, sigmoid, log, group/grid normalization and pooling, 1x1 and
+3x3 convolutions, bilinear resampling); there is no general broadcasting
+machinery beyond it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-EPS_NORM = 1e-12
 EPS_GROUP_NORM = 1e-12
 
 # Finiteness is an error state, not a warning. The scan costs one pass per
@@ -217,18 +217,19 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _make(values, "concat", tensors, backward)
 
 
-def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * a.values.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
+def take(a: Tensor, axis: int, index: Sequence[int]) -> Tensor:
+    """Gather the entries at `index` along `axis`; indices must not repeat."""
+    index = np.asarray(index, dtype=np.intp)
 
     def backward(g):
         if a.requires_grad:
             buf = np.zeros_like(a.values)
-            buf[idx] = g
+            idx = [slice(None)] * a.values.ndim
+            idx[axis] = index
+            buf[tuple(idx)] = g
             a.accumulate_grad(buf)
 
-    return _make(a.values[idx], "narrow", (a,), backward)
+    return _make(np.take(a.values, index, axis=axis), "take", (a,), backward)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -305,23 +306,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             a.accumulate_grad(values * (g - dot))
 
     return _make(values, "softmax", (a,), backward)
-
-
-def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
-    """Unit-normalize along `axis`; vectors with norm < 1e-12 map to zero."""
-    norms = np.sqrt((a.values ** 2).sum(axis=axis, keepdims=True))
-    safe = np.maximum(norms, EPS_NORM)
-    degenerate = norms < EPS_NORM
-    values = np.where(degenerate, 0.0, a.values / safe)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        dot = (g * values).sum(axis=axis, keepdims=True)
-        grad = (g - values * dot) / safe
-        a.accumulate_grad(np.where(degenerate, 0.0, grad))
-
-    return _make(values, "l2_normalize", (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

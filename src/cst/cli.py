@@ -21,16 +21,17 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .backbone import BackboneConfig, TokenFileError
-from .episodes import (BundleCache, Manifest, ManifestError, Record,
+from .episodes import (BundleCache, Manifest, ManifestError,
                        class_binary_mask, export_dataset,
                        generate_synthetic_dataset, load_manifest)
 from .metrics import write_report
 from .model import ModelConfig, count_model_params, init_model
 from .params import CheckpointError, ParamStore, load_checkpoint
-from .pseudomask import attention_scores, enhance, raw_pseudomask, write_pgm
+from .pseudomask import (attention_scores, enhance, init_enhancer,
+                         raw_pseudomask, write_pgm)
+from .seeding import rng_for
 from .svgplot import history_chart, mask_panel, write_svg
-from .trainer import (TrainConfig, TrainerError, evaluate, read_history,
-                      train, write_history)
+from .trainer import TrainConfig, TrainerError, evaluate, read_history, train
 from .transformer import CorrTransformerConfig
 
 log = logging.getLogger("cst.cli")
@@ -191,12 +192,15 @@ def _load_checkpoint(path: str) -> ParamStore:
 
 
 def _check_model_shapes(store: ParamStore, cfg: TrainConfig) -> None:
-    """Reject a checkpoint whose model parameters (enhancer aside) differ in
-    name or shape from the ones the resolved configuration builds."""
+    """Reject a checkpoint whose parameters differ in name or shape from the
+    ones the resolved configuration builds: the model's, plus the enhancer's
+    when the checkpoint holds any."""
     expected = ParamStore()
     init_model(expected, cfg.model, cfg.seed)
-    loaded = {name for name in store.entries if not name.startswith("enhancer.")}
-    differ = sorted(loaded ^ set(expected.entries))
+    if any(name.startswith("enhancer.") for name in store.entries):
+        init_enhancer(expected, cfg.backbone.heads,
+                      rng_for(cfg.seed, "init", "enhancer"))
+    differ = sorted(set(store.entries) ^ set(expected.entries))
     if differ:
         raise CliError("CHECKPOINT_INVALID", "parameters in only one of "
                        f"checkpoint and configuration: {', '.join(differ)}")
@@ -297,6 +301,7 @@ def cmd_pseudomask(args: argparse.Namespace) -> int:
         if "enhancer.conv1.weight" not in store.entries:
             raise CliError("CHECKPOINT_INVALID",
                            f"{args.ckpt} has no enhancer parameters")
+        _check_model_shapes(store, cfg)
         enhanced = enhance(store, stack, 1, shape)
         write_pgm(enhanced.values, out_dir / f"{record.name}_enhanced.pgm")
         panels.append(("enhanced", enhanced.values))

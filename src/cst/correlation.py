@@ -58,12 +58,7 @@ def correlate(query: TokenBundle, support: TokenBundle,
                              query_grid=query.grid, support_grid=support.grid)
 
 
-def assemble_z0(volume: CorrelationVolume, i: int) -> np.ndarray:
-    """Token matrix for query position i: class-correlation row 0, then the
-    support-token correlation rows."""
-    return np.concatenate([volume.cls_corr[i][None, :], volume.img_corr[i]], axis=0)
-
-
 def assemble_z0_batch(volume: CorrelationVolume) -> np.ndarray:
-    """(T_q, 1+T_s, channels) stack of assemble_z0 over all query positions."""
+    """(T_q, 1+T_s, channels) transformer input: for each query position, the
+    class-correlation row 0, then the support-token correlation rows."""
     return np.concatenate([volume.cls_corr[:, None, :], volume.img_corr], axis=1)

@@ -47,7 +47,7 @@ def classify(store: ParamStore, clf_tokens: ad.Tensor,
     logits = _two_conv(store, "clf_head", _tokens_to_map(clf_tokens, grid))
     pooled = ad.global_avg_pool(logits)
     probs = ad.softmax(pooled, axis=0)
-    return ad.narrow(probs, 0, 1, 2)
+    return ad.take(probs, 0, [1])
 
 
 def segment(store: ParamStore, seg_tokens: ad.Tensor, grid: Tuple[int, int],
@@ -55,7 +55,7 @@ def segment(store: ParamStore, seg_tokens: ad.Tensor, grid: Tuple[int, int],
     """Per-pixel foreground probability, upsampled to out_hw when given."""
     logits = _two_conv(store, "seg_head", _tokens_to_map(seg_tokens, grid))
     probs = ad.softmax(logits, axis=0)
-    fg = ad.reshape(ad.narrow(probs, 0, 1, 2), grid)
+    fg = ad.reshape(ad.take(probs, 0, [1]), grid)
     if out_hw is not None and tuple(out_hw) != tuple(grid):
         fg = ad.bilinear_resize(fg, tuple(out_hw))
     return fg

@@ -45,23 +45,17 @@ def prepare_volume(query: TokenBundle, support: TokenBundle,
 def forward_volume(store: ParamStore, cfg: ModelConfig,
                    volume: CorrelationVolume,
                    support_mask: Optional[np.ndarray],
-                   out_hw: Optional[Tuple[int, int]] = None,
-                   collect: bool = False):
+                   out_hw: Optional[Tuple[int, int]] = None) -> PredictionPair:
     """Full differentiable pass from an assembled volume to a PredictionPair."""
-    z0 = assemble_z0_batch(volume)
-    result = forward_corr_transformer(store, cfg.corr, z0, support_mask,
-                                      collect=collect)
-    clf_tokens, seg_tokens = result[0], result[1]
+    clf_tokens, seg_tokens = forward_corr_transformer(
+        store, cfg.corr, assemble_z0_batch(volume), support_mask)
     grid = volume.query_grid
     seg_prob = segment(store, seg_tokens, grid, out_hw)
     if cfg.corr.decoupled_heads:
         clf_prob = classify(store, clf_tokens, grid)
     else:
         clf_prob = coupled_classify(seg_prob)
-    pair = PredictionPair(clf_prob=clf_prob, seg_prob=seg_prob)
-    if collect:
-        return pair, result[2]
-    return pair
+    return PredictionPair(clf_prob=clf_prob, seg_prob=seg_prob)
 
 
 def count_model_params(store: ParamStore) -> dict:

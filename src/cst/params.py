@@ -32,7 +32,6 @@ class ParamStore:
         # Step counters are per parameter: bias correction for the model must
         # not depend on how long some other group (the enhancer) pre-trained.
         self.adam_t: Dict[str, int] = {}
-        self.step_count = 0
 
     def create(self, name: str, values: np.ndarray, requires_grad: bool = True) -> Tensor:
         if name in self.entries:
@@ -72,7 +71,6 @@ class ParamStore:
         """
         if names is None:
             names = [n for n, t in self.entries.items() if t.requires_grad]
-        self.step_count += 1
         for name in names:
             p = self.entries[name]
             g = p.grad if p.grad is not None else np.zeros_like(p.values)

@@ -16,7 +16,7 @@ produces plain numpy masks: no gradient ever flows out of a pseudo-mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

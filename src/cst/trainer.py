@@ -66,16 +66,25 @@ class TrainConfig:
     def validate(self) -> None:
         if self.supervision not in REGIMES:
             raise TrainerError(f"unknown supervision regime: {self.supervision}")
-        if not 0.0 <= self.pixel_fraction <= 1.0:
-            raise TrainerError("pixel_fraction must lie in [0, 1]")
         for name in ("steps", "batch_episodes", "val_interval", "val_episodes"):
             if getattr(self, name) < 1:
                 raise TrainerError(f"{name} must be positive")
+        # Every float setting, by its config key, with the closed range the
+        # method allows; learning rates must also be nonzero.
+        ranges = {"pixel_fraction": (self.pixel_fraction, 0.0, 1.0),
+                  "lambda_clf": (self.lam, 0.0, math.inf),
+                  "delta": (self.delta, 0.0, 1.0),
+                  "alpha": (self.alpha, -1.0, 1.0),
+                  "backbone_sigma": (self.backbone.sigma, 0.0, math.inf),
+                  "lr": (self.lr, 0.0, math.inf),
+                  "enhancer_lr": (self.enhancer_lr, 0.0, math.inf)}
+        for name, (value, low, high) in ranges.items():
+            if not (math.isfinite(value) and low <= value <= high):
+                raise TrainerError(f"{name} must be finite and lie in "
+                                   f"[{low}, {high}], got {value}")
         for name in ("lr", "enhancer_lr"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise TrainerError(f"{name} must be finite and positive, "
-                                   f"got {value}")
+            if getattr(self, name) == 0.0:
+                raise TrainerError(f"{name} must be positive")
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Masked correlation transformer with progressive support pooling.
 
-Two layers. Each layer projects its tokens to query/key/value, spatially
-pools the query rows (the class-correlation row is exempt), attends over all
-keys with masked support positions forced to exactly zero weight, aggregates
-heads through a learned output map, and adds a pooled residual; a single
-feed-forward linear with its own residual follows. Group normalization (4
-groups) closes both sublayers.
+Two layers. Each layer spatially pools its image-token rows once (the
+class-correlation row is exempt) and projects the query from those pooled
+rows; an affine map commutes with the mean pool, so this equals pooling the
+projected rows. Keys and values are projected from row 0 and the support
+positions the mask keeps, and from nothing else, so attention runs over
+exactly the attendable tokens. Heads are aggregated through a learned output
+map and the pooled rows come back as the residual; a single feed-forward
+linear with its own residual follows. Group normalization (4 groups) closes
+both sublayers.
 
 Layer 1's query/key/value and shortcut maps also carry the channel projection
 (in_channels -> channels), so the token width changes once, up front; layer
@@ -27,8 +30,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .params import ParamStore, init_linear, init_norm
-
-MASK_BIAS = -1e9
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ def _linear(store: ParamStore, name: str, x: ad.Tensor) -> ad.Tensor:
 
 def _pool_rows(z: ad.Tensor, grid: Tuple[int, int], k: int) -> ad.Tensor:
     """Pool the image-token rows of (..., 1+T, C); row 0 passes through."""
-    head = ad.narrow(z, -2, 0, 1)
-    body = ad.narrow(z, -2, 1, z.values.shape[-2])
+    head = ad.take(z, -2, [0])
+    body = ad.take(z, -2, np.arange(1, z.values.shape[-2]))
     return ad.concat([head, ad.avg_pool_grid(body, grid, k)], axis=-2)
 
 
@@ -99,14 +100,6 @@ def pool_support_mask(mask: np.ndarray, k: int) -> np.ndarray:
     h, w = mask.shape
     pooled = mask.reshape(h // k, k, w // k, k).mean(axis=(1, 3))
     return (pooled > 0.0).astype(np.float64)
-
-
-def _mask_bias(mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    if mask is None:
-        return None
-    bias = np.zeros(1 + mask.size)
-    bias[1:] = np.where(mask.reshape(-1) > 0.0, 0.0, MASK_BIAS)
-    return bias
 
 
 def _split_heads(x: ad.Tensor, heads: int) -> ad.Tensor:
@@ -126,8 +119,11 @@ def forward_corr_transformer(store: ParamStore, cfg: CorrTransformerConfig,
     """Run the two-stage transformer on a (T_q, 1+T_s, in_channels) stack.
 
     support_mask is a binary (h, w) array on the support grid, or None for an
-    unmasked forward. Returns (clf_tokens, seg_tokens) as (T_q, channels)
-    Tensors, plus an internals dict when collect is set.
+    unmasked forward. Keys and values come from row 0 and the support rows
+    the mask keeps (every row without one); the mask is pooled alongside the
+    rows for layer 2. Returns (clf_tokens, seg_tokens) as (T_q, channels)
+    Tensors, plus an internals dict when collect is set, whose attention maps
+    span every key row and read exactly 0 on the dropped ones.
     """
     tq, n_tokens, c_in = z0.shape
     h, w = cfg.support_grid
@@ -138,30 +134,32 @@ def forward_corr_transformer(store: ParamStore, cfg: CorrTransformerConfig,
     if support_mask is not None and support_mask.shape != (h, w):
         raise ad.ShapeError(f"transformer: mask {support_mask.shape} != grid {h}x{w}")
 
-    internals = {"token_counts": [n_tokens], "attention": [], "key_masks": []}
+    internals = {"token_counts": [n_tokens], "attention": []}
     z = ad.constant(z0)
     mask = support_mask
     grid = (h, w)
-    scale = 1.0 / np.sqrt(cfg.channels / cfg.attn_heads)
+    heads = cfg.attn_heads
+    scale = 1.0 / np.sqrt(cfg.channels / heads)
 
     for layer, k in zip(("layer1", "layer2"), cfg.pool_kernels):
         base = f"corr_transformer.{layer}"
-        q = _pool_rows(_linear(store, f"{base}.query", z), grid, k)
-        key = _split_heads(_linear(store, f"{base}.key", z), cfg.attn_heads)
-        val = _split_heads(_linear(store, f"{base}.value", z), cfg.attn_heads)
-        qh = _split_heads(q, cfg.attn_heads)
+        rows = z.values.shape[1]
+        kept = (np.arange(rows) if mask is None
+                else np.concatenate([[0], 1 + np.flatnonzero(mask > 0.0)]))
+        pooled = _pool_rows(z, grid, k)
+        attendable = ad.take(z, 1, kept)
+        qh = _split_heads(_linear(store, f"{base}.query", pooled), heads)
+        key = _split_heads(_linear(store, f"{base}.key", attendable), heads)
+        val = _split_heads(_linear(store, f"{base}.value", attendable), heads)
 
         logits = ad.scale(ad.matmul(qh, ad.transpose(key, (0, 1, 3, 2))), scale)
-        bias = _mask_bias(mask)
-        if bias is not None:
-            logits = ad.add(logits, ad.constant(bias))
         attn = ad.softmax(logits, axis=-1)
         gathered = _merge_heads(ad.matmul(attn, val))
         aggregated = _linear(store, f"{base}.aggregate", gathered)
 
-        shortcut = _pool_rows(z, grid, k)
+        shortcut = pooled
         if f"{base}.shortcut.weight" in store:
-            shortcut = _linear(store, f"{base}.shortcut", shortcut)
+            shortcut = _linear(store, f"{base}.shortcut", pooled)
         attended = ad.group_norm(ad.add(aggregated, shortcut),
                                  store[f"{base}.attn_norm.scale"],
                                  store[f"{base}.attn_norm.shift"],
@@ -173,15 +171,16 @@ def forward_corr_transformer(store: ParamStore, cfg: CorrTransformerConfig,
                           cfg.norm_groups)
 
         if collect:
-            internals["attention"].append(attn.values.copy())
-            internals["key_masks"].append(None if mask is None else mask.copy())
+            full = np.zeros(attn.values.shape[:-1] + (rows,))
+            full[..., kept] = attn.values
+            internals["attention"].append(full)
         grid = (grid[0] // k, grid[1] // k)
         if mask is not None:
             mask = pool_support_mask(mask, k)
         internals["token_counts"].append(z.values.shape[1])
 
-    clf_tokens = ad.reshape(ad.narrow(z, 1, 0, 1), (tq, cfg.channels))
-    seg_tokens = ad.reshape(ad.narrow(z, 1, 1, 2), (tq, cfg.channels))
+    clf_tokens = ad.reshape(ad.take(z, 1, [0]), (tq, cfg.channels))
+    seg_tokens = ad.reshape(ad.take(z, 1, [1]), (tq, cfg.channels))
     if collect:
         return clf_tokens, seg_tokens, internals
     return clf_tokens, seg_tokens

@@ -9,6 +9,8 @@ from cst.cli import (CliError, build_configs, format_config, main,
                      resolve_config)
 from cst.model import init_model
 from cst.params import ParamStore, save_checkpoint
+from cst.pseudomask import init_enhancer
+from cst.seeding import rng_for
 from cst.svgplot import history_chart, line_chart, mask_panel
 
 SMALL = ["--set", "channels=16", "--set", "head_width=16",
@@ -140,6 +142,15 @@ def test_error_exit_codes(dataset, tmp_path, capsys):
     store = ParamStore()
     init_model(store, build_configs(resolve_config(None, SMALL[1::2])).model, 0)
     save_checkpoint(store, ckpt)
+    # Single-head correlation keeps the model independent of the backbone
+    # head count, so only the 4-head enhancer disagrees with backbone_heads=2.
+    single = [*SMALL, "--set", "use_multihead=false"]
+    enh_ckpt = tmp_path / "enhancer.ckpt"
+    store = ParamStore()
+    init_model(store, build_configs(resolve_config(None, single[1::2])).model, 0)
+    init_enhancer(store, 4, rng_for(0, "init", "enhancer"))
+    save_checkpoint(store, enh_ckpt)
+    two_heads = [*single, "--set", "backbone_heads=2"]
     two_class = tmp_path / "two"
     assert main(["gen-data", "--out", str(two_class), "--images", "8",
                  "--classes", "4,5", "--num-class-ids", "6"]) == 0
@@ -160,7 +171,17 @@ def test_error_exit_codes(dataset, tmp_path, capsys):
           str(ckpt), "--way", "3", *SMALL], "EVAL_FAILED"),
         (["eval", "--manifest", str(dataset), "--ckpt", str(ckpt), *SMALL,
           "--set", "channels=32"], "CHECKPOINT_INVALID"),
+        (["eval", "--manifest", str(dataset), "--ckpt", str(enh_ckpt),
+          "--supervision", "mixed", *two_heads], "CHECKPOINT_INVALID"),
+        (["pseudomask", "--manifest", str(dataset), "--record", "img_0_0002",
+          "--out", str(tmp_path / "u"), "--ckpt", str(enh_ckpt), *two_heads],
+         "CHECKPOINT_INVALID"),
     ]
+    for setting in ("alpha=nan", "alpha=inf", "delta=nan", "delta=1.5",
+                    "backbone_sigma=nan", "lambda_clf=nan"):
+        cases.append((["train", "--manifest", str(dataset), "--out",
+                       str(tmp_path / "v"), *SMALL, "--set", setting],
+                      "CONFIG_VALUE_INVALID"))
     for argv, code in cases:
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -3,7 +3,7 @@
 import numpy as np
 
 from cst.backbone import BackboneConfig, TokenBundle, synthetic_tokens
-from cst.correlation import assemble_z0, assemble_z0_batch, correlate
+from cst.correlation import assemble_z0_batch, correlate
 from cst.seeding import rng_for
 
 from helpers import assert_close
@@ -100,13 +100,10 @@ def test_support_permutation_equivariance():
 def test_assemble_z0_layout():
     q, s = _bundle(13), _bundle(14)
     vol = correlate(q, s)
-    z = assemble_z0(vol, 5)
-    assert z.shape == (37, 6)
-    assert_close(z[0], vol.cls_corr[5], atol=0)
-    assert_close(z[1:], vol.img_corr[5], atol=0)
     batch = assemble_z0_batch(vol)
     assert batch.shape == (36, 37, 6)
-    assert_close(batch[5], z, atol=0)
+    assert_close(batch[:, 0], vol.cls_corr, atol=0)
+    assert_close(batch[:, 1:], vol.img_corr, atol=0)
 
 
 def test_desk_backbone_channel_count():

@@ -40,6 +40,14 @@ def test_config_validation():
         _cfg(lr=float("nan")).validate()
     with pytest.raises(TrainerError):
         _cfg(enhancer_lr=0.0).validate()
+    for bad in ({"alpha": float("nan")}, {"alpha": float("inf")},
+                {"alpha": -1.5}, {"delta": float("nan")}, {"delta": 1.5},
+                {"lam": float("nan")}, {"lam": -0.1}):
+        with pytest.raises(TrainerError):
+            _cfg(**bad).validate()
+    for sigma in (float("nan"), -0.1):
+        with pytest.raises(TrainerError):
+            _cfg(backbone=BackboneConfig(sigma=sigma)).validate()
 
 
 def test_pixel_run_shape_of_history():

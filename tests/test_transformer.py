@@ -73,6 +73,17 @@ def test_masked_keys_get_exactly_zero_weight():
     assert_close(attn.sum(axis=-1), np.ones(attn.shape[:-1]), atol=1e-12)
 
 
+def test_all_zero_mask_keeps_row_0():
+    store = _ready(MICRO, seed=8)
+    z0 = _z0(MICRO, 2, seed=9)
+    clf, seg, internals = forward_corr_transformer(
+        store, MICRO, z0, np.zeros(MICRO.support_grid), collect=True)
+    for attn in internals["attention"]:       # (Tq, heads, Nq, Nk) per layer
+        assert np.all(attn[..., 0] == 1.0)
+        assert np.all(attn[..., 1:] == 0.0)
+    assert np.all(np.isfinite(clf.values)) and np.all(np.isfinite(seg.values))
+
+
 def test_mask_changes_output():
     store = _ready(MICRO, seed=4)
     z0 = _z0(MICRO, 2, seed=5)
